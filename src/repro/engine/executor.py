@@ -75,7 +75,6 @@ def create_worker_pool(
     start_method: Optional[str] = None,
     initializer=None,
     initargs: Tuple = (),
-    prefer: Tuple[str, ...] = ("fork",),
     degrade_message: str = "degrading to in-process execution",
     backend: str = "process",
 ):
@@ -83,17 +82,17 @@ def create_worker_pool(
     environment cannot provide one.
 
     The single pool-bootstrap-with-degradation path shared by every
-    process backend in the repo (the engine's :class:`ProcessExecutor`,
-    the shard layer's region pool, the serve daemon's shard fan-out), so
-    their degradation contracts cannot drift apart:
+    process backend in the repo (the engine's :class:`ProcessExecutor` and
+    the shard layer's region pool), so their degradation contracts cannot
+    drift apart:
 
     * ``start_method``, when given, is *validated*
       (:func:`validate_start_method`) -- pinning an unknown method raises
       :class:`ValueError` instead of silently falling back.
-    * Otherwise the methods in ``prefer`` are tried in order, then the
-      platform default.  ``fork`` is the usual preference (workers inherit
-      ``sys.path``); callers embedded in multi-threaded processes should
-      prefer ``("forkserver", "spawn")``, where ``fork`` is deadlock-prone.
+    * Otherwise ``fork`` is tried (workers inherit ``sys.path``), then the
+      platform default.  Callers embedded in multi-threaded processes,
+      where ``fork`` is deadlock-prone, pin ``forkserver``/``spawn``
+      through ``start_method`` (the serve daemon does).
     * When no pool can be started -- sandboxes routinely forbid
       ``fork``/semaphores -- a structured WARNING log record (and trace
       event) carries ``backend``, ``start_method``, and the failure, plus
@@ -107,14 +106,9 @@ def create_worker_pool(
         if start_method is not None:
             context = multiprocessing.get_context(start_method)
         else:
-            context = None
-            for method in prefer:
-                try:
-                    context = multiprocessing.get_context(method)
-                    break
-                except ValueError:  # pragma: no cover - platform-dependent
-                    continue
-            if context is None:  # pragma: no cover - non-POSIX platforms
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:  # pragma: no cover - non-POSIX platforms
                 context = multiprocessing.get_context()
         return context.Pool(
             processes=processes, initializer=initializer, initargs=initargs
@@ -122,8 +116,8 @@ def create_worker_pool(
     except (ImportError, OSError, PermissionError, RuntimeError, AssertionError) as exc:
         # AssertionError is what the stdlib raises for daemonic nesting
         # ("daemonic processes are not allowed to have children") -- e.g. a
-        # shard child running inside the serve daemon's region pool trying
-        # to start its own engine pool.  Degrading is exactly right there.
+        # process-backend router running inside another pool's worker.
+        # Degrading is exactly right there.
         obs.log_pool_degradation(backend, start_method, exc, degrade_message)
         obs.inc(f"pool.degraded.{backend}")
         return None

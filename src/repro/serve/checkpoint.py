@@ -51,9 +51,18 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: (``region_cache_signatures``): sharded flows keep their re-route
 #: signatures inside per-scope engines, exported as name-keyed sections so a
 #: resume -- under the same or a different decomposition, sharded or not --
-#: restores them.  Version 1 checkpoints lack the sections and are rejected
-#: with a clear error instead of being restored with silently dropped state.
-CHECKPOINT_VERSION = 2
+#: restores them.  Version 3 changed the bytes of the stored signatures (both
+#: cache scopes hash the cost vector directly instead of through chunked or
+#: memoised digests).  Older versions are rejected with a clear error
+#: (:data:`_RETIRED_VERSIONS`) instead of being restored with silently
+#: dropped or never-matching state.
+CHECKPOINT_VERSION = 3
+
+#: Why each retired version cannot be restored, for the loader's error.
+_RETIRED_VERSIONS = {
+    1: "predates the per-region replay-memo sections (region_cache_signatures)",
+    2: "stores re-route cache signatures in a digest layout this build no longer computes",
+}
 
 
 class CheckpointError(RuntimeError):
@@ -250,17 +259,18 @@ def _load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path!r} is not a {CHECKPOINT_FORMAT} file")
     if document.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path!r} is not a {CHECKPOINT_FORMAT} file")
-    if document.get("version") != CHECKPOINT_VERSION:
-        if document.get("version") == 1:
+    version = document.get("version")
+    if version != CHECKPOINT_VERSION:
+        # ``version`` may be any JSON value (even an unhashable list).
+        reason = _RETIRED_VERSIONS.get(version) if isinstance(version, int) else None
+        if reason is not None:
             raise CheckpointError(
-                f"{path!r} is a version 1 checkpoint, which predates the "
-                "per-region replay-memo sections (region_cache_signatures); "
-                f"this build reads version {CHECKPOINT_VERSION} -- re-run "
-                "the flow and write a fresh checkpoint"
+                f"{path!r} is a version {version} checkpoint, which "
+                f"{reason}; this build reads version {CHECKPOINT_VERSION} -- "
+                "re-run the flow and write a fresh checkpoint"
             )
         raise CheckpointError(
-            f"{path!r} has unsupported checkpoint version "
-            f"{document.get('version')!r} "
+            f"{path!r} has unsupported checkpoint version {version!r} "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
     # Every shape assumption below is guarded: a truncated or hand-edited

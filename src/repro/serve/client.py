@@ -98,16 +98,6 @@ class ServeClient:
         response = self.request("submit", kind="route", params=params)
         return str(response["job_id"])
 
-    def submit_shard(self, **params: object) -> str:
-        """Submit a sharded (fan-out) route job; returns the parent job id.
-
-        The daemon splits the design into ``params["shards"]`` regions,
-        routes each region's interior nets as a child ``route`` job, and
-        merges the results (see ``ServeDaemon._run_shard``).
-        """
-        response = self.request("submit", kind="shard", params=params)
-        return str(response["job_id"])
-
     def submit_eco(
         self, session: str, ops: Sequence[Dict[str, object]], **params: object
     ) -> str:

@@ -127,8 +127,11 @@ class JobStore:
         pick up mid-flow from their auto-checkpoint when they kept one --
         and records their ids in :attr:`adopted_jobs` so the daemon can
         resubmit them.  ECO jobs (their session state died with the old
-        daemon) and shard children (their parent coordinates them) are
-        always marked failed.
+        daemon) are always marked failed, and so are region children of
+        the retired ``shard`` job kind (``route`` records carrying a
+        ``shard_index``) that an older daemon left in a state directory:
+        re-running one would route a single region's params as a
+        full-chip job.
     """
 
     def __init__(self, state_dir: Optional[str] = None, adopt: bool = False) -> None:
@@ -272,7 +275,11 @@ class JobStore:
 
     @staticmethod
     def _adoptable(job: Job) -> bool:
-        """Whether an interrupted job can simply be re-run (see ``adopt``)."""
+        """Whether an interrupted job can simply be re-run (see ``adopt``).
+
+        The ``shard_index`` guard stays although no current daemon writes
+        it: it keeps state directories of older daemons safe to adopt.
+        """
         return job.kind == "route" and job.params.get("shard_index") is None
 
     def _load_existing(self, state_dir: str, adopt: bool = False) -> None:

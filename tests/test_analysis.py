@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.experiments import (
-    InstanceComparisonRow,
     bucket_of,
     default_oracles,
     run_global_routing,

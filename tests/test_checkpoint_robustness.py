@@ -113,6 +113,19 @@ class TestCorruptionMatrix:
             json.dump(document, handle)
         self._assert_clear_error(checkpoint_path)
 
+    def test_version_2_rejected(self, checkpoint_path):
+        """Version 2 stored signatures in the retired digest layout; it must
+        fail loudly, naming path and version, instead of resuming with
+        signatures that all miss."""
+        with open(checkpoint_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        document["version"] = 2
+        with open(checkpoint_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        with pytest.raises(CheckpointError, match="version 2") as excinfo:
+            load_checkpoint(checkpoint_path)
+        assert checkpoint_path in str(excinfo.value)
+
     def test_missing_file_is_not_an_error_on_resume(self, tmp_path):
         router = make_router()
         assert resume_router(router, str(tmp_path / "never-written.ckpt")) is False

@@ -4,7 +4,6 @@ import pytest
 
 from repro.grid.geometry import BoundingBox, GridPoint
 from repro.grid.partition import (
-    NetClassification,
     RegionPartition,
     balanced_mesh,
     partition_grid,

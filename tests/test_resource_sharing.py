@@ -11,7 +11,6 @@ import pytest
 
 from repro.grid.congestion import CongestionMap
 from repro.router.resource_sharing import ResourceSharingConfig, ResourceSharingPrices
-from repro.timing.sta import TimingReport
 
 
 def report_like(worst_slack, sink_slacks):

@@ -1,4 +1,4 @@
-"""Tests for the shard layer: coordinator parity, fast path, serve fan-out."""
+"""Tests for the shard layer: coordinator parity, fast path, sharded daemon jobs."""
 
 import pytest
 
@@ -15,8 +15,9 @@ from repro.instances.chips import CHIP_SUITE, build_chip
 from repro.router.metrics import PARITY_FIELDS, RoutingResult
 from repro.router.netlist import Net, Netlist, Pin
 from repro.router.router import GlobalRouter, GlobalRouterConfig
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon
+from repro.serve.jobs import JobStore
 from repro.serve.session import RoutingSession
 from repro.shard.coordinator import ShardCoordinator
 
@@ -256,105 +257,60 @@ class TestServeShardJobs:
         yield daemon
         daemon.shutdown()
 
-    def test_shard_job_fans_out_and_merges(self, daemon):
+    @staticmethod
+    def _degraded(client):
+        counters = client.metrics()["counters"]
+        return {k: v for k, v in counters.items() if k.startswith("pool.degraded.")}
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_sharded_route_job_matches_in_process_router(self, daemon, backend):
+        """A daemon ``route`` job with ``shards=4, shard_workers=2`` runs the
+        same ShardCoordinator flow as an in-process router with that config
+        (the daemon pins a non-fork start method; results do not depend on
+        it).  Region workers run serial engines, so a process-backend job
+        never nests an engine pool inside a daemonic region worker: no
+        ``pool.degraded.*`` counter moves."""
         host, port = daemon.address
         client = ServeClient(host, port)
         client.wait_until_up()
-        job_id = client.submit_shard(chip="c1", net_scale=0.4, rounds=2, shards=4)
+        before = self._degraded(client)
+        job_id = client.submit_route(
+            chip="c1", net_scale=0.4, rounds=2, shards=4, shard_workers=2,
+            backend=backend,
+        )
         record = client.wait(job_id, timeout=300)
         assert record["status"] == "done", record
-        payload = record["result"]
-        merged = RoutingResult.from_dict(payload["result"])
-        assert merged.num_nets == 18  # c1 scaled 0.4
-        assert merged.wire_length > 0
-        assert payload["shards"] == 4
-        assert payload["seam_nets"] + sum(payload["interior_nets"]) == 18
-        child_wl = 0.0
-        for child_id in payload["subjobs"]:
-            child = client.result(child_id)
-            assert child["status"] == "done"
-            assert child["params"]["parent"] == job_id
-            child_result = RoutingResult.from_dict(child["result"]["result"])
-            assert child_result.num_nets > 0
-            assert len(child["result"]["usage"]) > 0
-            child_wl += child_result.wire_length
-        # The merged wire length covers the children plus the seam pass.
-        assert child_wl <= merged.wire_length
-
-    def test_shard_job_on_worker_pool_matches_thread_path(self, daemon):
-        """--shard-workers 2 routes the children on a process pool; the
-        merged result is bit-identical to the dedicated-thread fan-out
-        (children are pure functions of their params)."""
-        host, port = daemon.address
-        client = ServeClient(host, port)
-        client.wait_until_up()
-        threaded_id = client.submit_shard(chip="c1", net_scale=0.4, rounds=2, shards=4)
-        pooled_id = client.submit_shard(
-            chip="c1", net_scale=0.4, rounds=2, shards=4, shard_workers=2
+        assert self._degraded(client) == before
+        served = RoutingResult.from_dict(record["result"]["result"])
+        graph, netlist = build_chip(CHIP_SUITE[0].scaled(0.4))
+        _, local = run_router(
+            graph, netlist, num_rounds=2, shards=4, shard_workers=2,
+            engine=EngineConfig(backend=backend),
         )
-        threaded = client.wait(threaded_id, timeout=300)
-        pooled = client.wait(pooled_id, timeout=300)
-        assert threaded["status"] == "done", threaded
-        assert pooled["status"] == "done", pooled
-        assert threaded["result"]["region_backend"] == "threads"
-        assert pooled["result"]["shard_workers"] == 2
-        # In sandboxes that forbid process pools the job degrades to the
-        # thread path; either way the merged metrics must be identical.
-        assert pooled["result"]["region_backend"] in ("process", "threads")
-        a = RoutingResult.from_dict(threaded["result"]["result"])
-        b = RoutingResult.from_dict(pooled["result"]["result"])
         for field in PARITY_FIELDS:
-            assert getattr(a, field) == getattr(b, field), field
-        for child_id in pooled["result"]["subjobs"]:
-            child = client.result(child_id)
-            assert child["status"] == "done"
-            assert child["params"]["parent"] == pooled_id
+            assert getattr(served, field) == getattr(local, field), field
 
-    def test_shard_job_pool_with_process_backend_degrades_nested_pools(self, daemon):
-        """backend=process children inside the region pool cannot start
-        their own engine pools (daemonic workers); they must degrade to
-        serial engines and the job must still finish."""
+    def test_shard_job_kind_refused(self, daemon):
         host, port = daemon.address
         client = ServeClient(host, port)
         client.wait_until_up()
-        job_id = client.submit_shard(
-            chip="c1", net_scale=0.3, rounds=1, shards=4,
-            shard_workers=2, backend="process",
-        )
-        record = client.wait(job_id, timeout=300)
-        assert record["status"] == "done", record
-        merged = RoutingResult.from_dict(record["result"]["result"])
-        assert merged.wire_length > 0
+        with pytest.raises(ServeError, match="unknown job kind 'shard'"):
+            client.request("submit", kind="shard", params={"chip": "c1", "shards": 4})
+        assert client.jobs() == []
 
-    def test_shard_job_pool_child_failures_attributed_per_child(self, daemon):
-        """A failing child on the pool path records its *own* error while a
-        succeeding sibling keeps its real result, like on the thread path."""
-        import threading
-
-        base = {"chip": "c1", "net_scale": 0.3, "rounds": 1, "shards": 2,
-                "emit_usage": True}
-        good = daemon.store.submit("route", {**base, "shard_index": 0})
-        bad = daemon.store.submit("route", {**base, "shard_index": 99})
-        children = [good.job_id, bad.job_id]
-        for child_id in children:
-            daemon._cancel_flags[child_id] = threading.Event()
-        with pytest.raises(RuntimeError, match="region pool"):
-            daemon._run_children_on_pool(
-                children, [good.params, bad.params], threading.Event(), 2
-            )
-        assert daemon.store.get(good.job_id).status == "done"
-        failed = daemon.store.get(bad.job_id)
-        assert failed.status == "failed"
-        assert "IndexError" in (failed.error or "")
-
-    def test_shard_job_rejects_sessions_and_k1(self, daemon):
-        host, port = daemon.address
-        client = ServeClient(host, port)
-        client.wait_until_up()
-        job_id = client.submit_shard(chip="c1", net_scale=0.3, rounds=1, shards=1)
-        record = client.wait(job_id, timeout=120)
-        assert record["status"] == "failed"
-        assert "shards >= 2" in record["error"]
+    def test_persisted_region_child_is_failed_not_adopted(self, tmp_path):
+        """A ``route`` record carrying ``shard_index`` -- a region child an
+        older daemon's fan-out left running -- must not be re-run as a
+        full-chip route on restart; an ordinary route job still is."""
+        store = JobStore(str(tmp_path))
+        child = store.submit("route", {"chip": "c1", "shards": 2, "shard_index": 0})
+        plain = store.submit("route", {"chip": "c1"})
+        for job in (child, plain):
+            store.mark_running(job.job_id)
+        restarted = JobStore(str(tmp_path), adopt=True)
+        assert restarted.adopted_jobs == [plain.job_id]
+        assert restarted.get(plain.job_id).status == "queued"
+        assert restarted.get(child.job_id).status == "failed"
 
     def test_sharded_session_route_then_eco(self, daemon):
         """A route job may open a *sharded* session; eco jobs against it
