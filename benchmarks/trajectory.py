@@ -59,7 +59,14 @@ def _result_metrics(result) -> Dict[str, float]:
 
 
 def scenario_engine_modes() -> List[Dict[str, object]]:
-    """Serial vs cached routing of the smoke chip (determinism tripwire)."""
+    """Serial vs cached routing of the smoke chip (determinism tripwire).
+
+    The serial run also tracks the search work of the CD oracle
+    (``astar_pops``: heap extractions, ``cd_labels``: permanent labels).
+    Both are exact counts, so any change to the search that alters a single
+    pop moves them; the gate fails when the work grows past the tolerance.
+    """
+    from repro import obs
     from repro.core.cost_distance import CostDistanceSolver
     from repro.engine.engine import EngineConfig
     from repro.instances.chips import build_chip, smoke_chip
@@ -76,14 +83,19 @@ def scenario_engine_modes() -> List[Dict[str, object]]:
             graph, netlist, CostDistanceSolver(),
             GlobalRouterConfig(num_rounds=3, engine=engine),
         )
-        result = router.run()
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            result = router.run()
         walltime = time.perf_counter() - started
         metrics: Dict[str, float] = {"walltime_seconds": round(walltime, 4)}
         if router.engine.cache is not None:
             metrics["cache_hit_rate"] = round(router.engine.cache.stats.hit_rate, 4)
-        records.append(
-            {"name": name, "metrics": metrics, "tracked": _result_metrics(result)}
-        )
+        tracked = _result_metrics(result)
+        if name == "engine_serial":
+            counters = registry.snapshot()["counters"]
+            tracked["astar_pops"] = float(counters.get("astar.pops", 0))
+            tracked["cd_labels"] = float(counters.get("cd.labels", 0))
+        records.append({"name": name, "metrics": metrics, "tracked": tracked})
     return records
 
 

@@ -146,7 +146,11 @@ class _FlatQueue:
 
     def __init__(self) -> None:
         self._heap: AddressableBinaryHeap = AddressableBinaryHeap()
-        self._by_search: Dict[int, Set[object]] = {}
+        # Queued items per search, in insertion order: ``remove_search``
+        # deletes them in this order, and the deletion order shapes the heap
+        # layout and so the ties.  A ``set`` would make it depend on
+        # ``PYTHONHASHSEED`` (the items include ``("c", node)`` tuples).
+        self._by_search: Dict[int, Dict[object, None]] = {}
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -155,21 +159,21 @@ class _FlatQueue:
         return bool(self._heap)
 
     def add_search(self, search_id: int) -> None:
-        self._by_search.setdefault(search_id, set())
+        self._by_search.setdefault(search_id, {})
 
     def remove_search(self, search_id: int) -> None:
-        for item in self._by_search.pop(search_id, set()):
+        for item in self._by_search.pop(search_id, {}):
             self._heap.remove((search_id, item))
 
     def push(self, search_id: int, item, key: float) -> bool:
-        self._by_search.setdefault(search_id, set()).add(item)
+        self._by_search.setdefault(search_id, {})[item] = None
         return self._heap.push((search_id, item), key)
 
     def pop(self):
         key, (search_id, item) = self._heap.pop()
         members = self._by_search.get(search_id)
         if members is not None:
-            members.discard(item)
+            members.pop(item, None)
         return key, search_id, item
 
 
@@ -318,16 +322,18 @@ class CostDistanceSolver(SteinerOracle):
         planar_tiles = graph.nx * graph.ny
         grid_nx = graph.nx
         # Per-tile lower-bound rates of the admissible A* potential (see
-        # FutureCostEstimator.multi_target_potential).
+        # FutureCostEstimator.multi_target_potential).  Without future costs
+        # both rates are 0, so every potential is ``l1 * 0.0 == 0.0``.
         if estimator is not None and config.use_future_costs:
             pot_cost_rate = estimator.min_cost_per_tile
             pot_delay_rate = estimator.fastest_delay_per_tile
         else:
             pot_cost_rate = pot_delay_rate = 0.0
 
-        # Nearest-target L1 distances, memoised per node between target
-        # refreshes: the target set only changes at merges, and the searches
-        # re-touch the same nodes many times in between.
+        # Nearest-target L1 distances, memoised per planar tile between
+        # target refreshes: the distance ignores the layer, so the layers
+        # above a tile share its entry, and the target set only changes at
+        # merges.
         l1_cache: Dict[int, float] = {}
 
         def refresh_targets() -> None:
@@ -343,36 +349,33 @@ class CostDistanceSolver(SteinerOracle):
             target_bbox[:] = [min(xs), max(xs), min(ys), max(ys)]
             l1_cache.clear()
 
-        def potential(tid: int, node: int) -> float:
-            """Admissible potential towards the current target set.
+        def tile_l1(tile: int) -> float:
+            """L1 distance from ``tile`` to the current target set, memoised.
 
             Reproduces ``FutureCostEstimator.multi_target_potential`` (exact
             nearest-target L1 for up to 8 targets, bounding-box distance
-            beyond) over the precomputed target coordinates.
+            beyond) over the precomputed target coordinates.  The admissible
+            potential of a node on ``tile`` in a search of weight ``w`` is
+            ``tile_l1(tile) * (pot_cost_rate + w * pot_delay_rate)``.
             """
-            if estimator is None or not config.use_future_costs:
-                return 0.0
-            l1 = l1_cache.get(node)
-            if l1 is None:
-                rest = node % planar_tiles
-                ax = rest % grid_nx
-                ay = rest // grid_nx
-                if len(target_coords) <= 8:
-                    best = None
-                    for bx, by in target_coords:
-                        d = abs(ax - bx) + abs(ay - by)
-                        if best is None or d < best:
-                            best = d
-                            if best == 0:
-                                break
-                    l1 = float(best or 0)
-                else:
-                    xmin, xmax, ymin, ymax = target_bbox
-                    dx = max(0, xmin - ax, ax - xmax)
-                    dy = max(0, ymin - ay, ay - ymax)
-                    l1 = float(dx + dy)
-                l1_cache[node] = l1
-            return l1 * (pot_cost_rate + searches[tid].weight * pot_delay_rate)
+            ax = tile % grid_nx
+            ay = tile // grid_nx
+            if len(target_coords) <= 8:
+                best = None
+                for bx, by in target_coords:
+                    d = abs(ax - bx) + abs(ay - by)
+                    if best is None or d < best:
+                        best = d
+                        if best == 0:
+                            break
+                l1 = float(best or 0)
+            else:
+                xmin, xmax, ymin, ymax = target_bbox
+                dx = max(0, xmin - ax, ax - xmax)
+                dy = max(0, ymin - ay, ay - ymax)
+                l1 = float(dx + dy)
+            l1_cache[tile] = l1
+            return l1
 
         def merge_penalty(source_tid: int, owner: int) -> float:
             w_u = active[source_tid].weight
@@ -396,7 +399,11 @@ class CostDistanceSolver(SteinerOracle):
             search = _Search(term.weight, term.comp, term.node)
             searches[tid] = search
             queue.add_search(tid)
-            queue.push(tid, term.node, 0.0 + potential(tid, term.node))
+            tile = term.node % planar_tiles
+            l1 = l1_cache.get(tile)
+            if l1 is None:
+                l1 = tile_l1(tile)
+            queue.push(tid, term.node, 0.0 + l1 * (pot_cost_rate + term.weight * pot_delay_rate))
 
         def deactivate(tid: int) -> None:
             active.pop(tid, None)
@@ -414,6 +421,9 @@ class CostDistanceSolver(SteinerOracle):
             start_search(tid, term)
 
         # ---- main loop ----
+        queue_push = queue.push
+        adjacency = graph.adjacency
+        discount = config.discount_components
         tree_edges: List[int] = []
         tree_edge_set: Set[int] = set()
         acyclic = _UnionFind()
@@ -508,12 +518,15 @@ class CostDistanceSolver(SteinerOracle):
                     if connect:
                         queue.push(tid, ("c", node), connection_key(tid, comp, node, dist))
 
-            own_edges = comp_edges.get(search.comp) if config.discount_components else None
+            own_edges = comp_edges.get(search.comp) if discount else None
             weight = search.weight
             tentative = search.tentative
             permanent = search.permanent
             parent = search.parent
-            for edge, other in graph.adjacency[node]:
+            # The potential's rate factor depends on the search only, so it
+            # is formed once per label rather than once per push.
+            factor = pot_cost_rate + weight * pot_delay_rate
+            for edge, other in adjacency[node]:
                 if other in permanent:
                     continue
                 if own_edges is not None and edge in own_edges:
@@ -524,7 +537,11 @@ class CostDistanceSolver(SteinerOracle):
                 if candidate < tentative.get(other, infinity):
                     tentative[other] = candidate
                     parent[other] = edge
-                    queue.push(tid, other, candidate + potential(tid, other))
+                    tile = other % planar_tiles
+                    l1 = l1_cache.get(tile)
+                    if l1 is None:
+                        l1 = tile_l1(tile)
+                    queue_push(tid, other, candidate + l1 * factor)
 
         tree = self._finalize(instance, tree_edges)
         # Aggregated per-solve increments (not per pop) keep the hot loop

@@ -7,10 +7,14 @@ Two structures are provided:
   ``m = O(n)`` edges, so binary heaps are the right trade-off (paper
   Section III-B); Fibonacci heaps only matter for the asymptotic statement.
 * :class:`TwoLevelHeap` -- the two-level structure of Section III-B: one
-  sub-heap per active sink plus a top-level heap over the sub-heap minima.
-  The cost-distance solver keeps extracting from a single sub-heap while its
-  minimum stays below the best other sub-heap minimum, which avoids
-  top-level churn when one search is locally busy.
+  sub-heap per active search plus a top-level heap holding one entry per
+  non-empty sub-heap, keyed by that sub-heap's minimum.
+
+Both run on the same module-level kernels over a heap's three parallel
+containers ``(keys, items, position)``.  The searches break equal-key ties by
+the array layout these kernels produce, so the layout is part of the routed
+output: a change here must keep the exact sequence of comparisons and moves
+(``<=`` stops a sift-up, ties go to the left child in a sift-down).
 """
 
 from __future__ import annotations
@@ -21,7 +25,98 @@ __all__ = ["AddressableBinaryHeap", "TwoLevelHeap"]
 
 K = TypeVar("K", bound=Hashable)
 
+_INF = float("inf")
 
+
+# ------------------------------------------------------------------ kernels
+def _sift_up(keys: list, items: list, position: dict, pos: int) -> None:
+    key = keys[pos]
+    item = items[pos]
+    while pos > 0:
+        parent = (pos - 1) >> 1
+        parent_key = keys[parent]
+        if parent_key <= key:
+            break
+        keys[pos] = parent_key
+        moved = items[parent]
+        items[pos] = moved
+        position[moved] = pos
+        pos = parent
+    keys[pos] = key
+    items[pos] = item
+    position[item] = pos
+
+
+def _sift_down(keys: list, items: list, position: dict, pos: int) -> None:
+    size = len(items)
+    key = keys[pos]
+    item = items[pos]
+    child = 2 * pos + 1
+    while child < size:
+        child_key = keys[child]
+        right = child + 1
+        if right < size:
+            right_key = keys[right]
+            if right_key < child_key:
+                child = right
+                child_key = right_key
+        if child_key >= key:
+            break
+        keys[pos] = child_key
+        moved = items[child]
+        items[pos] = moved
+        position[moved] = pos
+        pos = child
+        child = 2 * pos + 1
+    keys[pos] = key
+    items[pos] = item
+    position[item] = pos
+
+
+def _insert_or_decrease(keys: list, items: list, position: dict, item, key: float) -> int:
+    """``2`` if ``item`` was inserted, ``1`` if its key decreased, ``0`` if
+    its key was already smaller or equal."""
+    pos = position.get(item)
+    if pos is None:
+        pos = len(items)
+        keys.append(key)
+        items.append(item)
+        _sift_up(keys, items, position, pos)
+        return 2
+    if key < keys[pos]:
+        keys[pos] = key
+        _sift_up(keys, items, position, pos)
+        return 1
+    return 0
+
+
+def _pop(keys: list, items: list, position: dict) -> tuple:
+    min_key = keys[0]
+    min_item = items[0]
+    last_key = keys.pop()
+    last_item = items.pop()
+    del position[min_item]
+    if items:
+        keys[0] = last_key
+        items[0] = last_item
+        _sift_down(keys, items, position, 0)
+    return min_key, min_item
+
+
+def _remove(keys: list, items: list, position: dict, item) -> None:
+    pos = position.pop(item, None)
+    if pos is None:
+        return
+    last_key = keys.pop()
+    last_item = items.pop()
+    if pos != len(items):
+        keys[pos] = last_key
+        items[pos] = last_item
+        _sift_down(keys, items, position, pos)
+        _sift_up(keys, items, position, pos)
+
+
+# ------------------------------------------------------------------- heaps
 class AddressableBinaryHeap(Generic[K]):
     """Binary min-heap with decrease-key, keyed by arbitrary hashable ids."""
 
@@ -51,7 +146,7 @@ class AddressableBinaryHeap(Generic[K]):
 
     def min_key(self) -> float:
         """The minimum key, ``inf`` if the heap is empty."""
-        return self._keys[0] if self._items else float("inf")
+        return self._keys[0] if self._items else _INF
 
     def push(self, item: K, key: float) -> bool:
         """Insert ``item`` or decrease its key.
@@ -59,108 +154,37 @@ class AddressableBinaryHeap(Generic[K]):
         Returns ``True`` if the item was inserted or its key decreased,
         ``False`` if the existing key was already smaller or equal.
         """
-        return self.insert_or_decrease(item, key) != 0
-
-    def insert_or_decrease(self, item: K, key: float) -> int:
-        """Like :meth:`push` but reports what happened: ``2`` inserted,
-        ``1`` decreased, ``0`` left unchanged.  One hash lookup instead of
-        the separate membership test callers would otherwise need -- this
-        sits on the hottest path of every search."""
-        pos = self._position.get(item)
-        if pos is None:
-            self._keys.append(key)
-            self._items.append(item)
-            self._position[item] = len(self._items) - 1
-            self._sift_up(len(self._items) - 1)
-            return 2
-        if key < self._keys[pos]:
-            self._keys[pos] = key
-            self._sift_up(pos)
-            return 1
-        return 0
+        return _insert_or_decrease(self._keys, self._items, self._position, item, key) != 0
 
     def pop(self) -> Tuple[float, K]:
         """Remove and return the minimum (key, item)."""
         if not self._items:
             raise IndexError("pop from an empty heap")
-        min_key = self._keys[0]
-        min_item = self._items[0]
-        last_key = self._keys.pop()
-        last_item = self._items.pop()
-        del self._position[min_item]
-        if self._items:
-            self._keys[0] = last_key
-            self._items[0] = last_item
-            self._position[last_item] = 0
-            self._sift_down(0)
-        return min_key, min_item
+        return _pop(self._keys, self._items, self._position)
 
     def remove(self, item: K) -> None:
         """Remove ``item`` from the heap if present."""
-        pos = self._position.get(item)
-        if pos is None:
-            return
-        last_index = len(self._items) - 1
-        last_key = self._keys.pop()
-        last_item = self._items.pop()
-        del self._position[item]
-        if pos != last_index:
-            self._keys[pos] = last_key
-            self._items[pos] = last_item
-            self._position[last_item] = pos
-            self._sift_down(pos)
-            self._sift_up(pos)
-
-    # ----------------------------------------------------------- internals
-    def _sift_up(self, pos: int) -> None:
-        key = self._keys[pos]
-        item = self._items[pos]
-        while pos > 0:
-            parent = (pos - 1) >> 1
-            if self._keys[parent] <= key:
-                break
-            self._keys[pos] = self._keys[parent]
-            self._items[pos] = self._items[parent]
-            self._position[self._items[pos]] = pos
-            pos = parent
-        self._keys[pos] = key
-        self._items[pos] = item
-        self._position[item] = pos
-
-    def _sift_down(self, pos: int) -> None:
-        size = len(self._items)
-        key = self._keys[pos]
-        item = self._items[pos]
-        while True:
-            child = 2 * pos + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size and self._keys[right] < self._keys[child]:
-                child = right
-            if self._keys[child] >= key:
-                break
-            self._keys[pos] = self._keys[child]
-            self._items[pos] = self._items[child]
-            self._position[self._items[pos]] = pos
-            pos = child
-        self._keys[pos] = key
-        self._items[pos] = item
-        self._position[item] = pos
+        _remove(self._keys, self._items, self._position, item)
 
 
 class TwoLevelHeap(Generic[K]):
     """One sub-heap per search plus a top-level heap over sub-heap minima.
 
-    Items are addressed by ``(search_id, item)``.  The structure follows
-    Section III-B of the paper: extraction keeps working on the sub-heap of
-    the previous extraction while its minimum is still globally minimal,
-    which keeps the top-level heap small and rarely updated.
+    Items are addressed by ``(search_id, item)``.  The top-level heap holds
+    at most one entry per search, keyed by the minimum of that search's
+    sub-heap.  A push that lowers a sub-heap's minimum inserts or
+    decreases the search's top entry.  Every extraction pops the top entry,
+    pops the minimum of its sub-heap and, unless that sub-heap is now empty,
+    pushes the search back with the new minimum -- so the top level sees a
+    pop and usually a push on every extraction.  Top entries of removed or
+    emptied searches, and entries whose key no longer matches their
+    sub-heap minimum, are dropped or refreshed lazily when they surface.
     """
 
     def __init__(self) -> None:
-        self._subheaps: Dict[Hashable, AddressableBinaryHeap[K]] = {}
-        self._top: AddressableBinaryHeap[Hashable] = AddressableBinaryHeap()
+        #: search id -> the sub-heap's ``(keys, items, position)``.
+        self._subheaps: Dict[Hashable, Tuple[List[float], List[K], Dict[K, int]]] = {}
+        self._top: Tuple[List[float], List[Hashable], Dict[Hashable, int]] = ([], [], {})
         self._size = 0
 
     def __len__(self) -> int:
@@ -172,22 +196,23 @@ class TwoLevelHeap(Generic[K]):
     def add_search(self, search_id: Hashable) -> None:
         """Register a (possibly empty) sub-heap for ``search_id``."""
         if search_id not in self._subheaps:
-            self._subheaps[search_id] = AddressableBinaryHeap()
+            self._subheaps[search_id] = ([], [], {})
 
     def remove_search(self, search_id: Hashable) -> None:
         """Drop a search and all of its queued items."""
         sub = self._subheaps.pop(search_id, None)
         if sub is not None:
-            self._size -= len(sub)
-            self._top.remove(search_id)
+            self._size -= len(sub[0])
+            _remove(*self._top, search_id)
 
     def push(self, search_id: Hashable, item: K, key: float) -> bool:
         """Insert or decrease-key ``item`` in the sub-heap of ``search_id``."""
         sub = self._subheaps.get(search_id)
         if sub is None:
-            sub = self._subheaps[search_id] = AddressableBinaryHeap()
-        old_min = sub.min_key()
-        outcome = sub.insert_or_decrease(item, key)
+            sub = self._subheaps[search_id] = ([], [], {})
+        keys, items, position = sub
+        old_min = keys[0] if keys else _INF
+        outcome = _insert_or_decrease(keys, items, position, item, key)
         if outcome == 0:
             return False
         if outcome == 2:
@@ -195,42 +220,49 @@ class TwoLevelHeap(Generic[K]):
         # The top-level entry tracks the sub-heap minimum; it only moves
         # when this push actually lowered that minimum.
         if key < old_min:
-            self._top.push(search_id, key)
+            top_keys, top_items, top_position = self._top
+            _insert_or_decrease(top_keys, top_items, top_position, search_id, key)
         return True
 
     def pop(self) -> Tuple[float, Hashable, K]:
         """Remove and return the globally minimal ``(key, search_id, item)``."""
         if self._size == 0:
             raise IndexError("pop from an empty two-level heap")
+        top_keys, top_items, top_position = self._top
+        subheaps = self._subheaps
         while True:
-            top_key, search_id = self._top.peek()
-            sub = self._subheaps.get(search_id)
-            if sub is None or not sub:
-                self._top.pop()
+            top_key = top_keys[0]
+            search_id = top_items[0]
+            sub = subheaps.get(search_id)
+            if sub is None or not sub[0]:
+                _pop(top_keys, top_items, top_position)
                 continue
-            if sub.min_key() != top_key:
+            keys, items, position = sub
+            if keys[0] != top_key:
                 # Stale top entry -- refresh and retry.
-                self._top.pop()
-                self._top.push(search_id, sub.min_key())
+                _pop(top_keys, top_items, top_position)
+                _insert_or_decrease(top_keys, top_items, top_position, search_id, keys[0])
                 continue
-            key, item = sub.pop()
+            key, item = _pop(keys, items, position)
             self._size -= 1
-            self._top.pop()
-            if sub:
-                self._top.push(search_id, sub.min_key())
+            _pop(top_keys, top_items, top_position)
+            if items:
+                _insert_or_decrease(top_keys, top_items, top_position, search_id, keys[0])
             return key, search_id, item
 
     def min_key(self) -> float:
         """The globally minimal key, ``inf`` when empty."""
-        while self._top:
-            top_key, search_id = self._top.peek()
+        top_keys, top_items, top_position = self._top
+        while top_items:
+            top_key = top_keys[0]
+            search_id = top_items[0]
             sub = self._subheaps.get(search_id)
-            if sub is None or not sub:
-                self._top.pop()
+            if sub is None or not sub[0]:
+                _pop(top_keys, top_items, top_position)
                 continue
-            if sub.min_key() != top_key:
-                self._top.pop()
-                self._top.push(search_id, sub.min_key())
+            if sub[0][0] != top_key:
+                _pop(top_keys, top_items, top_position)
+                _insert_or_decrease(top_keys, top_items, top_position, search_id, sub[0][0])
                 continue
             return top_key
-        return float("inf")
+        return _INF

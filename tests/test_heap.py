@@ -1,5 +1,6 @@
 """Tests for the addressable and two-level heaps."""
 
+import hashlib
 import random
 
 import pytest
@@ -169,3 +170,69 @@ class TestTwoLevelHeap:
             key, _ = flat.pop()
             keys_flat.append(key)
         assert keys_two_level == pytest.approx(keys_flat)
+
+
+# ------------------------------------------------------------ tie order
+# The searches break equal-key ties by the heaps' array layout, so the exact
+# pop sequence -- not just its key order -- shapes every routed tree.  These
+# streams draw integer keys from a tiny range (ties everywhere) and mix in
+# decrease-keys and removals; the digests pin the sequence the sift code
+# produces.  A heap change that alters them changes routing results.
+
+
+def _pop_stream_digest(popped) -> str:
+    return hashlib.sha256(repr(popped).encode()).hexdigest()
+
+
+def _addressable_pop_stream(seed: int = 13, steps: int = 4000):
+    rng = random.Random(seed)
+    heap = AddressableBinaryHeap()
+    popped = []
+    for _ in range(steps):
+        op = rng.random()
+        if op < 0.55:
+            heap.push(rng.randrange(40), float(rng.randrange(6)))
+        elif op < 0.62:
+            heap.remove(rng.randrange(40))
+        elif heap:
+            popped.append(heap.pop())
+    while heap:
+        popped.append(heap.pop())
+    return popped
+
+
+def _two_level_pop_stream(seed: int = 17, steps: int = 4000):
+    rng = random.Random(seed)
+    heap = TwoLevelHeap()
+    popped = []
+    for _ in range(steps):
+        op = rng.random()
+        if op < 0.6:
+            heap.push(rng.randrange(6), rng.randrange(30), float(rng.randrange(6)))
+        elif op < 0.64:
+            heap.remove_search(rng.randrange(6))
+        elif op < 0.68:
+            popped.append(heap.min_key())
+        elif heap:
+            popped.append(heap.pop())
+    while heap:
+        popped.append(heap.pop())
+    return popped
+
+
+class TestTieOrder:
+    def test_streams_are_tie_heavy(self):
+        for popped in (_addressable_pop_stream(), _two_level_pop_stream()):
+            keys = [entry[0] for entry in popped if isinstance(entry, tuple)]
+            assert len(popped) > 1000
+            assert len(set(keys)) <= 6
+
+    def test_addressable_pop_sequence_pinned(self):
+        assert _pop_stream_digest(_addressable_pop_stream()) == (
+            "7c1eefb784d16ad13fcee100368a8f8a6b38a21ffe9586f2f7a31901deea8320"
+        )
+
+    def test_two_level_pop_sequence_pinned(self):
+        assert _pop_stream_digest(_two_level_pop_stream()) == (
+            "24c012adca70037e26856a865f817df9bd23833e3837432f083b4525748d66f8"
+        )
